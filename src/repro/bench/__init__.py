@@ -7,17 +7,6 @@ throughput — and emits the machine-readable ``BENCH_hotpath.json`` the
 perf trajectory is tracked with.
 """
 
-from .e2e import (
-    BEFORE_COMMIT,
-    BEFORE_WALLS,
-    E2E_SCHEMA_KEYS,
-    bench_engine_e2e,
-    check_engine_equivalence,
-    headline_e2e_speedup,
-    run_e2e_bench,
-    validate_e2e_entries,
-    write_e2e_entries,
-)
 from .history import (
     CompareReport,
     MetricRow,
@@ -40,17 +29,8 @@ from .hotpath import (
 )
 
 __all__ = [
-    "BEFORE_COMMIT",
-    "BEFORE_WALLS",
     "BENCH_SCHEMA_KEYS",
     "CompareReport",
-    "E2E_SCHEMA_KEYS",
-    "bench_engine_e2e",
-    "check_engine_equivalence",
-    "headline_e2e_speedup",
-    "run_e2e_bench",
-    "validate_e2e_entries",
-    "write_e2e_entries",
     "MetricRow",
     "append_history",
     "bench_decision_rate",

@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import BenchmarkError
-from .e2e import validate_e2e_entries
 from .hotpath import validate_entries as validate_hotpath_entries
 
 __all__ = [
@@ -62,12 +61,11 @@ DEFAULT_TOLERANCE = {
 def load_bench_file(path: str | Path) -> tuple[str, list[dict[str, Any]]]:
     """Load + schema-validate a bench file; return ``(kind, entries)``.
 
-    Kind is auto-detected from the entry schema: ``engine`` marks an
-    e2e engine-bench file (checked first — its entries also carry
-    ``policy``), ``decisions_per_s`` / ``policy`` a hotpath file,
-    ``jobs_per_s`` a service file.  Raises :class:`BenchmarkError` on
-    unreadable, unparsable or schema-violating input — the comparison
-    must never run on garbage.
+    Kind is auto-detected from the entry schema: ``decisions_per_s``
+    marks a hotpath file, ``jobs_per_s`` a service file.  Raises
+    :class:`BenchmarkError` on unreadable, unparsable, undetectable (such
+    as the retired ``e2e`` engine-bench kind) or schema-violating input —
+    the comparison must never run on garbage.
     """
     path = Path(path)
     try:
@@ -83,10 +81,7 @@ def load_bench_file(path: str | Path) -> tuple[str, list[dict[str, Any]]]:
     first = entries[0]
     if not isinstance(first, dict):
         raise BenchmarkError(f"{path}: entry 0 is not an object")
-    if "engine" in first:
-        validate_e2e_entries(entries)
-        return "e2e", entries
-    if "decisions_per_s" in first or "policy" in first:
+    if "decisions_per_s" in first:
         validate_hotpath_entries(entries)
         return "hotpath", entries
     if "jobs_per_s" in first:
@@ -141,39 +136,6 @@ def _hotpath_absolute_metrics(entries: list[dict[str, Any]]) -> dict[str, _Metri
     }
 
 
-def _e2e_ratio_metrics(entries: list[dict[str, Any]]) -> dict[str, _Metric]:
-    """Machine-portable ratios derived from an e2e engine-bench file.
-
-    Only the two *live* engines enter the ratio: ``wall_object /
-    wall_flat`` is measured in one process on one machine and travels.
-    Frozen ``before`` rows are documentation (walls from another commit
-    on another machine) and deriving a ratio against a live wall would
-    make the CI gate machine-dependent.
-    """
-    cases: dict[str, dict[str, float]] = {}
-    for entry in entries:
-        parts = entry["name"].split("/")
-        if parts[0] == "e2e" and len(parts) == 4:
-            cases.setdefault(f"{parts[1]}/{parts[2]}", {})[parts[3]] = entry[
-                "wall_s"
-            ]
-    metrics: dict[str, _Metric] = {}
-    for case, engines in sorted(cases.items()):
-        if "object" in engines and "flat" in engines and engines["flat"] > 0:
-            metrics[f"engine-speedup/{case}"] = _Metric(
-                engines["object"] / engines["flat"], True
-            )
-    return metrics
-
-
-def _e2e_absolute_metrics(entries: list[dict[str, Any]]) -> dict[str, _Metric]:
-    return {
-        entry["name"]: _Metric(entry["tasks_per_s"], True)
-        for entry in entries
-        if entry["engine"] != "before"  # frozen rows never regress or improve
-    }
-
-
 def _service_by_name(entries: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     return {entry["name"]: entry for entry in entries}
 
@@ -214,8 +176,6 @@ def derive_metrics(
     """Comparable metrics for a bench file; see the module docstring."""
     if kind == "hotpath":
         fn = _hotpath_absolute_metrics if absolute else _hotpath_ratio_metrics
-    elif kind == "e2e":
-        fn = _e2e_absolute_metrics if absolute else _e2e_ratio_metrics
     elif kind == "service":
         fn = _service_absolute_metrics if absolute else _service_ratio_metrics
     else:

@@ -179,7 +179,10 @@ class TaskGraph:
         return sub, keep
 
     def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` (for inspection/plotting)."""
+        """Export as a ``networkx.DiGraph`` (for inspection/plotting).
+
+        Needs the optional ``networkx`` extra (``pip install repro[networkx]``).
+        """
         import networkx as nx
 
         g = nx.DiGraph()

@@ -254,8 +254,8 @@ class Interconnect:
             return np.empty(0, dtype=np.float64)
         # Canonical memo key: rates are label-invariant in ``groups``, so
         # relabel by first occurrence before hashing.  Two epochs posing
-        # the same logical stream pattern under different task ids (object
-        # engine) or on different cores (flat engine) then share one entry.
+        # the same logical stream pattern under different group labels
+        # (task ids, core slots) then share one entry.
         first: dict[int, int] = {}
         canon = [0] * n
         for i, g in enumerate(groups):

@@ -354,21 +354,13 @@ def _compare(result, outcome: OracleOutcome) -> list[Divergence]:
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
-def run_case(case: VerifyCase, *, engine: str | None = None) -> DifferentialReport:
-    """Run one case through both simulators and diff the outcomes.
-
-    ``engine`` overrides the production simulator's fluid engine
-    (``"flat"`` or ``"object"``) without touching the serialized case, so
-    the same corpus file can be replayed under either engine.
-    """
+def run_case(case: VerifyCase) -> DifferentialReport:
+    """Run one case through both simulators and diff the outcomes."""
     from ..schedulers import make_scheduler
 
     scheduler = make_scheduler(case.scheduler, **case.scheduler_kwargs)
     interconnect = Interconnect(case.topology, **case.interconnect_kwargs)
     recorder = DecisionRecorder()
-    sim_kwargs = dict(case.sim_kwargs)
-    if engine is not None:
-        sim_kwargs["engine"] = engine
     sim = Simulator(
         case.program,
         case.topology,
@@ -376,7 +368,7 @@ def run_case(case: VerifyCase, *, engine: str | None = None) -> DifferentialRepo
         interconnect=interconnect,
         faults=case.faults,
         probe=recorder,
-        **sim_kwargs,
+        **case.sim_kwargs,
     )
     recorder.attach(sim)
     try:
@@ -412,8 +404,8 @@ def run_case(case: VerifyCase, *, engine: str | None = None) -> DifferentialRepo
     )
 
 
-def _run_production(case: VerifyCase, engine: str):
-    """One production run of the case under the given engine (no oracle).
+def _run_production(case: VerifyCase):
+    """One production run of the case (no oracle).
 
     Returns ``(result, None)`` or ``(None, error_string)`` when the run
     dies of a legitimate :class:`ReproError` (fault plan killed it).
@@ -422,129 +414,18 @@ def _run_production(case: VerifyCase, engine: str):
 
     scheduler = make_scheduler(case.scheduler, **case.scheduler_kwargs)
     interconnect = Interconnect(case.topology, **case.interconnect_kwargs)
-    sim_kwargs = dict(case.sim_kwargs)
-    sim_kwargs["engine"] = engine
     sim = Simulator(
         case.program,
         case.topology,
         scheduler,
         interconnect=interconnect,
         faults=case.faults,
-        **sim_kwargs,
+        **case.sim_kwargs,
     )
     try:
         return sim.run(), None
     except ReproError as exc:
         return None, f"{type(exc).__name__}: {exc}"
-
-
-def compare_engines(case: VerifyCase) -> DifferentialReport:
-    """Run the case under the object and flat engines; demand **bit
-    identity** (exact ``==`` on every float, not the oracle's 1e-9 haze).
-
-    The flat engine is a data-layout change, not a model change: both
-    engines perform the same IEEE operations in the same order, so any
-    difference at all is a bug.  Returns a :class:`DifferentialReport`
-    whose ``status`` is ``ok``/``divergence``/``production-error`` (the
-    latter only when *both* engines die identically; dying differently is
-    a divergence).
-    """
-    obj, obj_err = _run_production(case, "object")
-    flat, flat_err = _run_production(case, "flat")
-    if obj_err is not None or flat_err is not None:
-        if obj_err == flat_err:
-            return DifferentialReport(
-                case=case, status="production-error", error=obj_err
-            )
-        return DifferentialReport(
-            case=case,
-            status="divergence",
-            divergences=[Divergence("production-error", flat_err, obj_err)],
-        )
-    divs: list[Divergence] = []
-
-    def check(name: str, got, want) -> None:
-        if got != want:
-            divs.append(Divergence(name, got, want))
-
-    check("makespan", flat.makespan, obj.makespan)
-    check("n_records", len(flat.records), len(obj.records))
-    for fr, orr in zip(flat.records, obj.records):
-        tag = f"record[{fr.tid}]"
-        check(f"{tag}.tid", fr.tid, orr.tid)
-        check(f"{tag}.core", fr.core, orr.core)
-        check(f"{tag}.socket", fr.socket, orr.socket)
-        check(f"{tag}.attempt", fr.attempt, orr.attempt)
-        check(f"{tag}.start", fr.start, orr.start)
-        check(f"{tag}.finish", fr.finish, orr.finish)
-        check(f"{tag}.local_bytes", fr.local_bytes, orr.local_bytes)
-        check(f"{tag}.remote_bytes", fr.remote_bytes, orr.remote_bytes)
-        check(f"{tag}.net_bytes", fr.net_bytes, orr.net_bytes)
-    if not np.array_equal(flat.bytes_by_pair, obj.bytes_by_pair):
-        divs.append(
-            Divergence(
-                "bytes_by_pair",
-                flat.bytes_by_pair.tolist(),
-                obj.bytes_by_pair.tolist(),
-            )
-        )
-    if not np.array_equal(
-        flat.busy_time_per_socket, obj.busy_time_per_socket
-    ):
-        divs.append(
-            Divergence(
-                "busy_time",
-                flat.busy_time_per_socket.tolist(),
-                obj.busy_time_per_socket.tolist(),
-            )
-        )
-    check("steals", flat.steals, obj.steals)
-    check("parked_tasks", flat.parked_tasks, obj.parked_tasks)
-    check("touch_count", flat.touch_count, obj.touch_count)
-    check(
-        "bytes_on_node",
-        [int(b) for b in flat.bytes_on_node],
-        [int(b) for b in obj.bytes_on_node],
-    )
-    check(
-        "has_bytes_by_link",
-        flat.bytes_by_link is not None,
-        obj.bytes_by_link is not None,
-    )
-    if flat.bytes_by_link is not None and obj.bytes_by_link is not None:
-        if not np.array_equal(flat.bytes_by_link, obj.bytes_by_link):
-            divs.append(
-                Divergence(
-                    "bytes_by_link",
-                    flat.bytes_by_link.tolist(),
-                    obj.bytes_by_link.tolist(),
-                )
-            )
-        check("n_messages", len(flat.messages), len(obj.messages))
-        check("messages_dropped", flat.messages_dropped, obj.messages_dropped)
-        for fm, om in zip(flat.messages, obj.messages):
-            tag = f"message[{fm.tid}:{fm.src_box}->{fm.dst_box}]"
-            check(f"{tag}", fm, om)
-    check("reexecutions", flat.reexecutions, obj.reexecutions)
-    check("wasted_work", flat.wasted_work, obj.wasted_work)
-    check("cores_failed", flat.cores_failed, obj.cores_failed)
-    check("faults_injected", flat.faults_injected, obj.faults_injected)
-    check(
-        "n_crashed", len(flat.crashed_records), len(obj.crashed_records)
-    )
-    for fr, orr in zip(flat.crashed_records, obj.crashed_records):
-        tag = f"crashed[{fr.tid}@{fr.attempt}]"
-        check(f"{tag}.tid", fr.tid, orr.tid)
-        check(f"{tag}.core", fr.core, orr.core)
-        check(f"{tag}.outcome", fr.outcome, orr.outcome)
-        check(f"{tag}.start", fr.start, orr.start)
-        check(f"{tag}.finish", fr.finish, orr.finish)
-    return DifferentialReport(
-        case=case,
-        status="ok" if not divs else "divergence",
-        divergences=divs,
-        result=flat,
-    )
 
 
 def differential_run(
@@ -615,19 +496,7 @@ def save_repro(report: DifferentialReport, out_dir: str) -> str:
     return path
 
 
-def replay_file(path: str, *, engine: str | None = None) -> DifferentialReport:
+def replay_file(path: str) -> DifferentialReport:
     """Re-run the differential check of a serialized case (repro file or
-    committed corpus entry).
-
-    ``engine`` selects the production engine to diff against the oracle
-    (None = the simulator default); ``engine="both"`` additionally
-    demands exact flat-vs-object bit identity and reports any cross-
-    engine difference as a divergence.
-    """
-    case = VerifyCase.load(path)
-    if engine == "both":
-        cross = compare_engines(case)
-        if cross.status == "divergence":
-            return cross
-        return run_case(case, engine="flat")
-    return run_case(case, engine=engine)
+    committed corpus entry)."""
+    return run_case(VerifyCase.load(path))

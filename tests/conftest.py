@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -15,6 +17,44 @@ os.environ.setdefault("REPRO_VERIFY", "1")
 
 from repro.machine import bullion_s16, two_socket
 from repro.runtime import TaskProgram
+
+
+#: Exact schedule fingerprints of the verification corpus and of a few
+#: fresh fuzz cases.  They were recorded while a second, per-attempt fluid
+#: engine still existed, after it matched the kept engine bit for bit on
+#: every case, so each value is one two implementations agreed on.
+FINGERPRINTS = os.path.join(
+    os.path.dirname(__file__), "data", "engine_fingerprints.json"
+)
+
+RECORD_FIELDS = (
+    "tid", "core", "socket", "attempt", "start", "finish",
+    "local_bytes", "remote_bytes",
+)
+
+
+def schedule_fingerprint(result) -> dict:
+    """Exact makespan plus a sha256 over every record's field tuple."""
+    rows = [[getattr(r, f) for f in RECORD_FIELDS] for r in result.records]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return {
+        "makespan": result.makespan,
+        "n_records": len(rows),
+        "records_sha256": hashlib.sha256(blob).hexdigest(),
+    }
+
+
+@pytest.fixture(scope="session")
+def expect_fingerprint():
+    """``check(case_id, result)`` demands the committed fingerprint, with
+    ``==`` on every float (the oracle diff tolerates 1e-9; this does not)."""
+    with open(FINGERPRINTS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+
+    def check(case_id: str, result) -> None:
+        assert schedule_fingerprint(result) == golden[case_id], case_id
+
+    return check
 
 
 @pytest.fixture

@@ -1,18 +1,17 @@
-"""Flat (struct-of-arrays) event engine: bit-identity and drain contracts.
+"""Fluid engine: drain contracts and the engine's internal oracle.
 
-PR 8 moved the simulator hot loop onto :class:`repro.runtime.engines.
-FlatEngine`; the per-event :class:`~repro.runtime.engines.ObjectEngine`
-stays behind as the oracle twin.  These tests pin the contracts that
-rewrite rides on:
+These tests pin the contracts the rate-epoch engine
+(:class:`repro.runtime.engines.FlatEngine`) rides on:
 
 * rate-epoch drain against precomputed *absolute* deadlines leaves exact
-  zero residues (no ``1e-12`` crumbs from incremental subtraction);
-* flat and object engines produce bit-identical schedules — on the
-  committed corpus, on fresh policy-matrix cases, and on a 10k-task
-  serial chain;
+  zero residues (no ``1e-12`` crumbs from incremental subtraction), and a
+  10k-task serial chain keeps its only completion order;
+* ``REPRO_CHECK_CACHE=1`` arms the engine's internal mask/mirror oracle
+  without changing a single bit of the schedule — on a stencil and on
+  every committed corpus and fresh fuzz case, which must also match the
+  oracle diff and the committed schedule fingerprint;
 * a tiny wall-clock limit aborts promptly with every core returned to
-  the idle pools (the PR 4 ``_abort_run`` contract, now per engine);
-* ``REPRO_CHECK_CACHE=1`` arms the engine's internal mask/mirror oracle;
+  the idle pools (the ``_abort_run`` contract);
 * the compiled rate solver is bit-identical to the pure-python one;
 * the memory manager's unbound-page counter matches a full recount.
 """
@@ -30,22 +29,12 @@ from repro.machine import presets, two_socket
 from repro.machine.interconnect import Interconnect
 from repro.machine.memory import UNBOUND, MemoryManager
 from repro.runtime import Simulator, TaskProgram
-from repro.runtime.engines import _INF, FlatEngine, ObjectEngine
+from repro.runtime.engines import _INF, FlatEngine
 from repro.schedulers import make_scheduler
-from repro.verify import VerifyCase, compare_engines, make_case
+from repro.verify import VerifyCase, make_case, run_case
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
-
-RECORD_FIELDS = (
-    "tid", "core", "socket", "attempt", "start", "finish",
-    "local_bytes", "remote_bytes",
-)
-
-
-def record_tuple(r):
-    return tuple(getattr(r, f) for f in RECORD_FIELDS)
-
 
 def serial_chain(n_tasks: int, nbytes: int = 65536) -> TaskProgram:
     """``n_tasks`` tasks in one dependence chain through a single object."""
@@ -64,14 +53,12 @@ def stencil_program(n_sockets: int, scale: int = 6) -> TaskProgram:
 
 
 class TestSerialChainDrain:
-    """Satellite 1: absolute-deadline drain leaves exact zero residues."""
+    """Absolute-deadline drain leaves exact zero residues."""
 
     def test_10k_chain_exact_residues_and_order(self):
         prog = serial_chain(10_000)
         topo = two_socket(cores_per_socket=2)
-        sim = Simulator(
-            prog, topo, make_scheduler("las"), engine="flat", verify=False
-        )
+        sim = Simulator(prog, topo, make_scheduler("las"), verify=False)
         assert isinstance(sim.engine, FlatEngine)
         residues = []
         orig_remove = sim.engine.remove
@@ -96,52 +83,36 @@ class TestSerialChainDrain:
         finishes = [r.finish for r in flat.records]
         assert finishes == sorted(finishes)
 
-        # And the oracle twin agrees bit for bit.
-        obj_sim = Simulator(
-            prog, topo, make_scheduler("las"), engine="object", verify=False
-        )
-        assert isinstance(obj_sim.engine, ObjectEngine)
-        obj = obj_sim.run()
-        assert flat.makespan == obj.makespan
-        assert [record_tuple(r) for r in flat.records] == [
-            record_tuple(r) for r in obj.records
-        ]
-
 
 class TestCheckModeEquivalence:
-    """Satellite 2: REPRO_CHECK_CACHE=1 arms the engine's internal oracle
-    (mask==bytes, slot-mirror consistency) and the schedules still match."""
+    """REPRO_CHECK_CACHE=1 arms the engine's internal oracle (mask==bytes,
+    slot-mirror consistency) and the schedule stays bit-identical."""
 
-    def test_check_mode_engines_agree(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_CACHE", "1")
+    def test_check_mode_matches_unchecked(self, monkeypatch):
         topo = presets.by_name("four-socket")
         prog = stencil_program(topo.n_sockets)
         results = {}
-        for engine in ("flat", "object"):
+        for check in ("0", "1"):
+            monkeypatch.setenv("REPRO_CHECK_CACHE", check)
             sim = Simulator(
-                prog, topo, make_scheduler("rgp+las", window_size=8),
-                engine=engine,
+                prog, topo, make_scheduler("rgp+las", window_size=8)
             )
-            assert sim.engine.check is True
-            results[engine] = sim.run()
-        flat, obj = results["flat"], results["object"]
-        assert flat.makespan == obj.makespan
-        assert [record_tuple(r) for r in flat.records] == [
-            record_tuple(r) for r in obj.records
-        ]
+            assert sim.engine.check is (check == "1")
+            results[check] = sim.run()
+        plain, checked = results["0"], results["1"]
+        assert checked.makespan == plain.makespan
+        assert checked.records == plain.records
 
 
 class TestWallClockAbort:
-    """Satellite 3: a tiny budget aborts promptly and leaves no
-    phantom-busy cores (the ``_abort_run`` contract, per engine)."""
+    """A tiny budget aborts promptly and leaves no phantom-busy cores
+    (the ``_abort_run`` contract)."""
 
-    @pytest.mark.parametrize("engine", ["flat", "object"])
-    def test_tiny_limit_returns_cores_to_idle(self, engine):
+    def test_tiny_limit_returns_cores_to_idle(self):
         topo = two_socket(cores_per_socket=2)
         prog = stencil_program(topo.n_sockets, scale=8)
         sim = Simulator(
-            prog, topo, make_scheduler("las"),
-            wall_clock_limit=1e-9, engine=engine,
+            prog, topo, make_scheduler("las"), wall_clock_limit=1e-9
         )
         with pytest.raises(SimulationError, match="wall-clock limit"):
             sim.run()
@@ -155,14 +126,26 @@ class TestWallClockAbort:
 
 
 class TestEngineBitIdentity:
-    """Tentpole acceptance: flat == object, exactly, everywhere."""
+    """With the engine's internal oracle armed, every corpus and fresh
+    fuzz case agrees with the reference oracle and reproduces its
+    committed fingerprint exactly."""
+
+    @pytest.fixture(autouse=True)
+    def _check_mode(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK_CACHE", "1")
+
+    @staticmethod
+    def _diff(case_id, case, expect_fingerprint):
+        report = run_case(case)
+        assert report.status == "ok", report.summary()
+        expect_fingerprint(case_id, report.result)
 
     @pytest.mark.parametrize(
         "path", CORPUS, ids=[os.path.basename(p) for p in CORPUS]
     )
-    def test_corpus_case(self, path):
-        report = compare_engines(VerifyCase.load(path))
-        assert report.status == "ok", report.summary()
+    def test_corpus_case(self, path, expect_fingerprint):
+        self._diff(os.path.basename(path), VerifyCase.load(path),
+                   expect_fingerprint)
 
     @pytest.mark.parametrize(
         "label,scheduler,kwargs",
@@ -172,21 +155,20 @@ class TestEngineBitIdentity:
             ("dfifo", "dfifo", {}),
         ],
     )
-    def test_fresh_fuzz_case(self, label, scheduler, kwargs):
+    def test_fresh_fuzz_case(self, label, scheduler, kwargs,
+                             expect_fingerprint):
         # A fresh (non-corpus) scenario per policy: random topology,
         # program, fault plan and jitter from the fuzz generator.
         case = make_case(1234, label, scheduler, dict(kwargs))
-        report = compare_engines(case)
-        assert report.status == "ok", report.summary()
+        self._diff(f"fresh-1234-{label}", case, expect_fingerprint)
 
-    def test_fresh_cluster_fuzz_case(self):
+    def test_fresh_cluster_fuzz_case(self, expect_fingerprint):
         # Seed 99 deterministically draws a multi-box cluster topology:
-        # message events and NIC contention ride the same bit-identity
-        # contract as single-box runs.
+        # message events and NIC contention ride the same contract as
+        # single-box runs.
         case = make_case(99, "rgp+las", "rgp+las", {"window_size": 8})
         assert getattr(case.topology, "n_boxes", 1) > 1
-        report = compare_engines(case)
-        assert report.status == "ok", report.summary()
+        self._diff("fresh-99-rgp+las", case, expect_fingerprint)
 
     def test_corpus_includes_grain_swept_cases(self):
         labels = [VerifyCase.load(p).label or "" for p in CORPUS]

@@ -133,6 +133,7 @@ class TestDerivedGraphs:
         assert sub.node_weight(1) == 9.0
 
     def test_to_networkx(self, diamond):
+        pytest.importorskip("networkx")
         nx_g = diamond.to_networkx()
         assert nx_g.number_of_nodes() == 4
         assert nx_g.number_of_edges() == 4

@@ -5,6 +5,11 @@ documents (one per policy, most with fault plans) generated by the fuzz
 harness.  Any future schedule-semantics change that breaks oracle
 agreement fails here before it ever reaches the randomised fuzzer.  The
 same files double as fixtures for the ``repro verify`` CLI paths.
+
+Each corpus case, plus a few fresh fuzz cases, must also reproduce its
+committed schedule fingerprint (``tests/data/engine_fingerprints.json``)
+exactly: the oracle diff allows 1e-9 on times, the fingerprint allows
+nothing.
 """
 
 from __future__ import annotations
@@ -16,10 +21,21 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.verify import VerifyCase, replay_file
+from repro.verify import VerifyCase, make_case, replay_file, run_case
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
+
+#: Fresh (non-corpus) fuzz cases: ``make_case`` arguments by case id.
+#: Seed 99 draws a multi-box cluster topology.
+FRESH = {
+    "fresh-1234-las": (1234, "las", "las", {}),
+    "fresh-1234-rgp+las": (1234, "rgp+las", "rgp+las", {"window_size": 8}),
+    "fresh-1234-dfifo": (1234, "dfifo", "dfifo", {}),
+    "fresh-99-rgp+las": (99, "rgp+las", "rgp+las", {"window_size": 8}),
+}
+
+CASE_IDS = [os.path.basename(p) for p in CORPUS] + list(FRESH)
 
 
 def test_corpus_exists():
@@ -51,7 +67,7 @@ def test_cluster_corpus_case_exercises_messages():
     from repro.verify.differential import _run_production
 
     path = os.path.join(CORPUS_DIR, "case-cluster-msgs.json")
-    result, error = _run_production(VerifyCase.load(path), engine="flat")
+    result, error = _run_production(VerifyCase.load(path))
     assert error is None
     assert result.messages, (
         "the committed cluster case must produce inter-box messages"
@@ -60,12 +76,14 @@ def test_cluster_corpus_case_exercises_messages():
     assert result.bytes_by_link.sum() > 0
 
 
-@pytest.mark.parametrize(
-    "path", CORPUS, ids=[os.path.basename(p) for p in CORPUS]
-)
-def test_corpus_case_replays_clean(path):
-    report = replay_file(path)
-    assert report.status == "ok", f"{path}: {report.summary()}"
+@pytest.mark.parametrize("case_id", CASE_IDS, ids=CASE_IDS)
+def test_corpus_case_replays_clean(case_id, expect_fingerprint):
+    if case_id in FRESH:
+        report = run_case(make_case(*FRESH[case_id]))
+    else:
+        report = replay_file(os.path.join(CORPUS_DIR, case_id))
+    assert report.status == "ok", f"{case_id}: {report.summary()}"
+    expect_fingerprint(case_id, report.result)
 
 
 # ----------------------------------------------------------------------
