@@ -17,11 +17,6 @@ Commands
                 the NUMA socket-by-node traffic matrix.
 ``ablation``  — run one of the ablation sweeps (window / partitioner /
                 sockets / las / propagation / pipeline / cluster / gap).
-``bench``     — host-performance benchmark of the scheduling hot path
-                (placement-cache on/off); emits ``BENCH_hotpath.json``,
-                appends to the ``BENCH_history.jsonl`` perf history, and
-                with ``--compare BASELINE.json`` gates on noise-aware
-                regressions (exit code 6).
 ``profile``   — critical-path profile of one instrumented run: where the
                 makespan went (compute / local / remote memory / waits),
                 Coz-style what-ifs; ``profile diff`` attributes the
@@ -51,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .apps import APPS, make_app
 from .errors import ReproError, exit_code_for
@@ -426,73 +420,6 @@ def cmd_ablation(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Host benchmarks: the hot-path suite, its validation and compare."""
-    from .bench import (
-        append_history,
-        compare_bench_files,
-        headline_speedup,
-        load_bench_file,
-        run_hotpath_bench,
-        write_entries,
-    )
-    from .errors import BenchmarkError
-
-    out = args.out or "BENCH_hotpath.json"
-
-    def compare(current: str) -> None:
-        report = compare_bench_files(
-            args.compare, current,
-            tolerance=args.tolerance, absolute=args.absolute,
-        )
-        print(report.render())
-        if not report.ok:
-            n = len(report.regressions)
-            raise BenchmarkError(
-                f"{n} benchmark regression{'s' if n != 1 else ''} "
-                f"vs baseline {args.compare}"
-            )
-
-    if args.validate:
-        # load_bench_file schema-validates for whichever kind it detects.
-        kind, entries = load_bench_file(args.validate)
-        print(f"{args.validate}: schema OK ({kind}, {len(entries)} entries)")
-        return 0
-    if args.compare and args.against:
-        # Pure file-vs-file comparison: no benchmark run at all.
-        compare(args.against)
-        return 0
-
-    entries = run_hotpath_bench(
-        quick=args.quick,
-        sizes=tuple(args.sizes) if args.sizes else None,
-        machine=args.machine,
-        reps=args.reps,
-        seed=args.seed,
-        verify=not args.no_verify,
-        progress=lambda m: print(f"  {m}", file=sys.stderr),
-    )
-    write_entries(entries, out)
-    speedup = headline_speedup(entries)
-    if speedup is not None:
-        print(f"placement-cache decision-rate speedup: {speedup:.2f}x")
-    print(f"bench results written to {out} ({len(entries)} entries)")
-    if not args.no_history:
-        headline = (
-            {"decision_speedup": speedup} if speedup is not None else None
-        )
-        # Default the history next to the bench file so runs writing to a
-        # scratch --out never touch a history elsewhere.
-        history = args.history or str(
-            Path(out).parent / "BENCH_history.jsonl"
-        )
-        append_history(history, "hotpath", entries, headline=headline)
-        print(f"history appended to {history}")
-    if args.compare:
-        compare(out)
-    return 0
-
-
 def _parse_budget(value: str) -> float:
     """``--budget`` accepts seconds (``120``, ``120s``) or minutes (``2m``)."""
     text = value.strip().lower()
@@ -821,46 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gap only: exit 6 if drb's mean optimality gap "
                         "exceeds FRAC (e.g. 0.15)")
     p.set_defaults(fn=cmd_ablation)
-
-    p = sub.add_parser(
-        "bench",
-        help="host benchmarks; emits BENCH_hotpath.json",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="smaller graph sizes (CI smoke)")
-    p.add_argument("--out", default=None,
-                   metavar="OUT.json",
-                   help="output file (default BENCH_hotpath.json)")
-    p.add_argument("--sizes", type=int, nargs="+", default=None,
-                   help="task-count targets (default 1k/4k/10k, quick 300/1200)")
-    p.add_argument("--machine", default="four-socket",
-                   choices=sorted(presets.PRESETS))
-    p.add_argument("--reps", type=int, default=3,
-                   help="decision replays per size (default 3)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip the cached-vs-uncached schedule oracle "
-                        "check")
-    p.add_argument("--validate", default=None, metavar="FILE.json",
-                   help="only validate an existing bench file's schema")
-    p.add_argument("--compare", default=None, metavar="BASELINE.json",
-                   help="compare against this baseline bench file; exits "
-                        "6 on regression (noise-aware, ratio mode)")
-    p.add_argument("--against", default=None, metavar="CURRENT.json",
-                   help="with --compare: diff BASELINE against this "
-                        "existing file instead of running the bench")
-    p.add_argument("--tolerance", type=float, default=None, metavar="F",
-                   help="relative regression tolerance (default 0.30 "
-                        "ratio mode, 0.50 absolute mode)")
-    p.add_argument("--absolute", action="store_true",
-                   help="compare raw throughput numbers instead of "
-                        "machine-portable derived ratios")
-    p.add_argument("--history", default=None, metavar="FILE.jsonl",
-                   help="append-only JSONL perf history (default "
-                        "BENCH_history.jsonl next to --out)")
-    p.add_argument("--no-history", action="store_true",
-                   help="do not append this run to the history file")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "profile",

@@ -172,7 +172,13 @@ class ExactPartitioner(Partitioner):
                     f"exact partitioner exhausted its {self.budget}-node "
                     f"budget on a {n}-vertex / {k}-part instance"
                 ) from None
-            parts = state.best_parts if state.best_parts is not None else heur_parts
+            if state.best_parts is not None:
+                parts = state.best_parts
+            else:
+                # Nothing within the caps was found in budget, so the
+                # heuristic answer (never offered: it breaks the strict
+                # caps) is returned and must be flagged as relaxed.
+                parts, relaxed = heur_parts, True
             return PartitionResult(
                 parts=parts, k=k,
                 meta={

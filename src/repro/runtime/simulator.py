@@ -101,7 +101,6 @@ class Simulator:
         retry_backoff: float = 0.0,
         wall_clock_limit: float | None = None,
         instrument=None,
-        placement_cache: bool = True,
         probe=None,
         verify: bool | None = None,
     ) -> None:
@@ -178,13 +177,7 @@ class Simulator:
         )
 
         # Memory image: register all objects, apply explicit pre-bindings.
-        # ``placement_cache=False`` forces every placement query to
-        # recompute (the pre-cache behaviour; used by benchmarks and the
-        # cache-equivalence tests).  Cached and uncached runs are
-        # byte-identical — the cache is a pure memoisation layer.
-        self.memory = MemoryManager(
-            topology.n_nodes, page_size, cache=placement_cache
-        )
+        self.memory = MemoryManager(topology.n_nodes, page_size)
         for obj in program.objects:
             self.memory.register(obj.key, obj.size_bytes)
             if obj.initial_node is not None:

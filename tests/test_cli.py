@@ -92,6 +92,57 @@ class TestCommands:
         )
 
 
+class TestAblationGapGate:
+    """``repro ablation gap --gate-drb`` exits 6 above the gate, 0 at or
+    below it — the check CI's gap smoke job relies on.  The gap runner is
+    stubbed: the real quick run is far too slow for tier-1."""
+
+    @pytest.fixture
+    def stub_gap(self, monkeypatch):
+        from repro.experiments.ablations import GapReport
+
+        calls = []
+
+        def fake_run_gap_ablation(config, quick=False):
+            calls.append(quick)
+            # drb mean gap is exactly 0.125 (binary-exact floats).
+            return GapReport(
+                title="stub gap ablation", k=2, backends=["drb"],
+                windows=["w0", "w1"],
+                gaps={("drb", "w0"): 0.25, ("drb", "w1"): 0.0},
+                proven={"w0": True, "w1": True},
+            )
+
+        monkeypatch.setattr(
+            "repro.experiments.ablations.run_gap_ablation",
+            fake_run_gap_ablation,
+        )
+        return calls
+
+    def test_gap_above_gate_exits_six(self, stub_gap, capsys):
+        from repro.errors import EXIT_BENCHMARK
+
+        code = main(["ablation", "gap", "--quick", "--gate-drb", "0.1"])
+        assert code == EXIT_BENCHMARK == 6
+        out = capsys.readouterr().out
+        assert "stub gap ablation" in out
+        assert "FAIL: drb mean optimality gap 12.5%" in out
+        assert "gate ok" not in out
+        assert stub_gap == [True]
+
+    @pytest.mark.parametrize("gate", ["0.125", "0.15"])
+    def test_gap_at_or_below_gate_exits_zero(self, stub_gap, capsys, gate):
+        assert main(["ablation", "gap", "--quick", "--gate-drb", gate]) == 0
+        out = capsys.readouterr().out
+        assert "gate ok: drb mean optimality gap 12.5%" in out
+        assert "FAIL" not in out
+
+    def test_no_gate_never_fails(self, stub_gap, capsys):
+        assert main(["ablation", "gap", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "gate ok" not in out and "FAIL" not in out
+
+
 class TestTraceCommand:
     _shrink = staticmethod(TestCommands._shrink)
 

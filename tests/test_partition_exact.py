@@ -135,6 +135,21 @@ def test_exact_never_loses_to_heuristics(graph, k, seed):
         assert res.meta["objective"] <= edge_cut(graph, h.parts) + 1e-9
 
 
+def test_budget_fallback_to_unbalanced_heuristic_is_flagged():
+    """No 4-way split fits the strict caps (7.6 fits beside none of the
+    four ~9.5 vertices), and the budget runs out before the search can
+    prove it, so the heuristic answer comes back — flagged as relaxed."""
+    vwgt = np.array([2.0, 9.7, 1.0, 1.5, 2.3, 2.0, 3.4, 7.6, 9.1, 9.5,
+                     0.5, 0.1, 9.8])
+    edges = [(0, 2, 13.4), (3, 4, 36.6), (5, 6, 38.5), (10, 11, 48.7)]
+    graph = CSRGraph.from_edges(13, edges, vwgt)
+    res = ExactPartitioner(tolerance=TOL, budget=100).partition(graph, 4)
+    loads = np.bincount(res.parts, weights=vwgt, minlength=4)
+    assert res.meta["budget_exhausted"]
+    assert np.any(loads > _strict_caps(graph, 4))
+    assert res.meta["tolerance_relaxed"] is True
+
+
 @given(small_graphs(max_vertices=14, max_edges=32),
        st.integers(min_value=2, max_value=4),
        st.integers(min_value=0, max_value=2**16))

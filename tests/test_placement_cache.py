@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from repro.errors import MemoryError_
 from repro.machine import MemoryManager, two_socket
 from repro.machine.memory import RegionPlacement
-from repro.runtime import TaskProgram, allocated_bytes_per_node, simulate
+from repro.runtime import (
+    Simulator,
+    TaskProgram,
+    allocated_bytes_per_node,
+    simulate,
+)
 from repro.schedulers import SCHEDULERS, make_scheduler
 
 from conftest import make_fan_program
@@ -233,9 +238,11 @@ class TestZeroOverheadSemantics:
             t.meta["ep_socket"] = t.tid % topo.n_sockets
         results = {}
         for cache in (False, True):
-            res = simulate(program, topo, make_scheduler(policy), seed=7,
-                           placement_cache=cache)
-            results[cache] = res
+            sim = Simulator(program, topo, make_scheduler(policy), seed=7)
+            sim.memory.cache_enabled = cache  # False: recompute every query
+            results[cache] = sim.run()
+            if not cache:  # the reference run never consulted a memo
+                assert sim.memory.cache_hits == sim.memory.cache_misses == 0
         a, b = results[False], results[True]
         assert a.makespan == b.makespan
         assert len(a.records) == len(b.records)
@@ -248,8 +255,6 @@ class TestZeroOverheadSemantics:
     def test_oracle_run_matches_plain_cached_run(self):
         topo = two_socket(cores_per_socket=2)
         program = make_fan_program(width=4)
-        from repro.runtime import Simulator
-
         sim = Simulator(program, topo, make_scheduler("las"), seed=3)
         sim.memory.check_cache = True  # REPRO_CHECK_CACHE oracle
         res = sim.run()
