@@ -52,6 +52,9 @@ class NumaTopology:
     node_bandwidth: np.ndarray
     name: str = "numa-machine"
     _socket_of_core: np.ndarray = field(init=False, repr=False, compare=False)
+    _by_distance: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n_sockets < 1:
@@ -86,6 +89,13 @@ class NumaTopology:
             np.arange(self.n_sockets), self.cores_per_socket
         )
         object.__setattr__(self, "_socket_of_core", socket_of_core)
+        # Every socket's distance order, sorted once: the steal scan and
+        # the fault remap read it per event.
+        by_distance = tuple(
+            tuple(sorted(range(self.n_sockets), key=lambda s: (row[s], s)))
+            for row in dist
+        )
+        object.__setattr__(self, "_by_distance", by_distance)
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -164,8 +174,7 @@ class NumaTopology:
         order is deterministic.
         """
         self._check_socket(socket)
-        row = self.distance[socket]
-        return sorted(range(self.n_sockets), key=lambda s: (row[s], s))
+        return list(self._by_distance[socket])
 
     def max_distance(self) -> float:
         """Largest distance in the matrix (machine 'diameter')."""

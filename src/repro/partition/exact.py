@@ -41,7 +41,10 @@ when it runs out the backend degrades to the best solution seen so far
 (at worst the multilevel answer) with ``meta["budget_exhausted"]`` set —
 or raises :class:`~repro.errors.ExactBudgetExceeded` when constructed
 with ``on_budget="raise"`` — rather than hanging on a window it cannot
-prove optimal.
+prove optimal.  When the heuristic answer breaks the strict caps, the
+strict search gets half the budget while it has no incumbent and the
+LPT-relaxed search the rest; a pigeonhole test on the heaviest weights
+skips the strict search when it provably has no solution.
 """
 
 from __future__ import annotations
@@ -148,14 +151,26 @@ class ExactPartitioner(Partitioner):
         state = _Search(graph, k, dist, caps, eps, self.budget)
         if heur_feasible:
             state.offer(heur_parts, heur_cost)
+        else:
+            # Without an incumbent the strict search may find nothing;
+            # keep half the budget for the relaxed search below.
+            state.strict_budget = self.budget // 2
 
-        relaxed = False
+        relaxed = strict_cut = False
         try:
-            state.run()
+            if not _pigeonhole_infeasible(vwgt, k, caps, eps):
+                try:
+                    state.run()
+                except _BudgetHit:
+                    if state.best_parts is not None:
+                        raise
+                    strict_cut = True  # strict infeasibility unproven
+            state.strict_budget = None
             if state.best_parts is None:
                 # No partition satisfies the strict tolerance (e.g. one
-                # vertex outweighs every part's allowance).  Relax the
-                # caps to an LPT load profile — which is feasible by
+                # vertex outweighs every part's allowance), or none was
+                # found in the strict search's share of the budget.  Relax
+                # the caps to an LPT load profile — which is feasible by
                 # construction — and search again under the loosened
                 # constraint, flagging the relaxation.
                 relaxed = True
@@ -194,14 +209,14 @@ class ExactPartitioner(Partitioner):
             raise PartitionError(
                 f"no feasible {k}-way partition found for {n} vertices"
             )
-        return PartitionResult(
-            parts=parts, k=k,
-            meta={
-                "exact": True, "nodes": state.nodes,
-                "objective": float(state.best_cost),
-                "tolerance_relaxed": relaxed,
-            },
-        )
+        meta = {
+            "exact": not strict_cut, "nodes": state.nodes,
+            "objective": float(state.best_cost),
+            "tolerance_relaxed": relaxed,
+        }
+        if strict_cut:
+            meta["budget_exhausted"] = True
+        return PartitionResult(parts=parts, k=k, meta=meta)
 
 
 def _objective(graph: CSRGraph, parts: np.ndarray, dist: np.ndarray) -> float:
@@ -213,6 +228,20 @@ def _objective(graph: CSRGraph, parts: np.ndarray, dist: np.ndarray) -> float:
             if u > v:
                 total += float(w) * float(dist[pv, parts[u]])
     return total
+
+
+def _pigeonhole_infeasible(
+    vwgt: np.ndarray, k: int, caps: np.ndarray, eps: float
+) -> bool:
+    """True when the strict caps provably admit no partition.
+
+    Two of the ``k + 1`` heaviest vertices must share a part, and the
+    lightest such pair weighs the k-th plus the (k+1)-th heaviest.
+    """
+    if len(vwgt) <= k:
+        return False
+    w = np.sort(vwgt)[::-1]
+    return float(w[k - 1] + w[k]) > float(caps.max()) + eps
 
 
 def _lpt_loads(vwgt: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -242,6 +271,8 @@ class _Search:
         self.caps = np.asarray(caps, dtype=np.float64).copy()
         self.eps = eps
         self.budget = budget
+        #: Node cap while no incumbent exists (None: ``budget`` only).
+        self.strict_budget: int | None = None
         self.nodes = 0
         self.best_cost = np.inf
         self.best_parts: np.ndarray | None = None
@@ -445,7 +476,11 @@ class _Search:
 
         for inc, p in candidates:
             self.nodes += 1
-            if self.nodes > self.budget:
+            if self.nodes > self.budget or (
+                self.strict_budget is not None
+                and self.best_parts is None
+                and self.nodes > self.strict_budget
+            ):
                 raise _BudgetHit
             new_cost = cost + inc
             if new_cost >= self.best_cost - 1e-12:

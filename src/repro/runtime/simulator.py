@@ -162,6 +162,15 @@ class Simulator:
             self.steal_distance = 0.0
         else:
             raise SimulationError(f"unknown steal policy {steal!r}")
+        #: Legal steal victims per thief socket, nearest first (distance,
+        #: then socket id: the ``sockets_by_distance`` order).
+        self._victims: tuple[tuple[int, ...], ...] = tuple(
+            tuple(
+                v for v in topology.sockets_by_distance(s)
+                if v != s and topology.dist(s, v) <= self.steal_distance
+            )
+            for s in topology.sockets()
+        )
         self.seed = int(seed)
         if not 0.0 <= duration_jitter < 1.0:
             raise SimulationError("duration_jitter must be in [0, 1)")
@@ -190,6 +199,13 @@ class Simulator:
             deque() for _ in range(topology.n_sockets)
         ]
         self.core_queues: list[deque[Task]] = [deque() for _ in range(topology.n_cores)]
+        #: Tasks queued per socket: its socket queue plus its cores' queues.
+        #: Kept at every append/pop so a steal probe skips an empty victim
+        #: in O(1) (pinned by ``InvariantChecker.on_loop``).
+        self._queued: list[int] = [0] * topology.n_sockets
+        self._cores: tuple[tuple[int, ...], ...] = tuple(
+            tuple(topology.cores_of_socket(s)) for s in topology.sockets()
+        )
         self.idle_cores: list[list[int]] = [
             list(reversed(topology.cores_of_socket(s))) for s in topology.sockets()
         ]
@@ -386,11 +402,7 @@ class Simulator:
         busy = len(self.alive_cores_of_socket(socket)) - len(
             self.idle_cores[socket]
         )
-        queued = len(self.socket_queues[socket]) + sum(
-            len(self.core_queues[c])
-            for c in self.topology.cores_of_socket(socket)
-        )
-        return busy + queued
+        return busy + self._queued[socket]
 
     def nearest_alive_socket(self, socket: int) -> int:
         """Closest surviving socket by SLIT distance, spreading ties by load.
@@ -459,6 +471,7 @@ class Simulator:
         if not self.socket_alive(socket):
             orphans.extend(self.socket_queues[socket])
             self.socket_queues[socket].clear()
+        self._queued[socket] -= len(orphans)
         for task in orphans:
             self._offer(task)
         if duration is not None:
@@ -792,6 +805,7 @@ class Simulator:
             if not 0 <= decision.core < self.topology.n_cores:
                 raise SimulationError(f"placement core {decision.core} out of range")
             self.core_queues[decision.core].append(task)
+            self._queued[self.topology.socket_of_core(decision.core)] += 1
             if self.obs is not None:
                 self.obs.emit(
                     self.now, "sched.place", tid=task.tid, target="core",
@@ -805,6 +819,7 @@ class Simulator:
                     f"placement socket {decision.socket} out of range"
                 )
             self.socket_queues[decision.socket].append(task)
+            self._queued[decision.socket] += 1
             if self.obs is not None:
                 self.obs.emit(
                     self.now, "sched.place", tid=task.tid, target="socket",
@@ -833,6 +848,7 @@ class Simulator:
     # Dispatch: idle cores pull work (plus stealing)
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
+        queued = self._queued
         progress = True
         while progress:
             progress = False
@@ -840,18 +856,20 @@ class Simulator:
             # then the socket queue.
             for s in range(self.n_sockets):
                 idle = self.idle_cores[s]
-                if not idle:
+                if not idle or not queued[s]:
                     continue
                 # Cores with private work.
                 for core in list(idle):
                     if self.core_queues[core]:
                         idle.remove(core)
                         task = self.core_queues[core].popleft()
+                        queued[s] -= 1
                         self._start(task, core, s)
                         progress = True
                 while self.idle_cores[s] and self.socket_queues[s]:
                     core = self.idle_cores[s].pop()
                     task = self.socket_queues[s].popleft()
+                    queued[s] -= 1
                     self._start(task, core, s)
                     progress = True
             if self.steal_enabled and self._try_steal():
@@ -866,17 +884,14 @@ class Simulator:
     def _try_steal(self) -> bool:
         """One round of distance-aware stealing; True if anything moved."""
         stole = False
+        queued = self._queued
         for s in range(self.n_sockets):
             if not self.idle_cores[s]:
                 continue
-            for victim in self.topology.sockets_by_distance(s):
-                if victim == s:
+            for victim in self._victims[s]:
+                if not queued[victim]:
                     continue
-                if self.topology.dist(s, victim) > self.steal_distance:
-                    break  # victims are distance-ordered; all further ones fail
                 task = self._pop_victim_work(victim)
-                if task is None:
-                    continue
                 core = self.idle_cores[s].pop()
                 self.steals += 1
                 if self.obs is not None:
@@ -891,13 +906,16 @@ class Simulator:
                 break
         return stole
 
-    def _pop_victim_work(self, victim: int) -> Task | None:
+    def _pop_victim_work(self, victim: int) -> Task:
+        """Take ``victim``'s oldest socket-queued task, else the first
+        non-empty core queue's (by core id); its queued count is > 0."""
+        self._queued[victim] -= 1
         if self.socket_queues[victim]:
             return self.socket_queues[victim].popleft()
-        for core in self.topology.cores_of_socket(victim):
+        for core in self._cores[victim]:
             if self.core_queues[core]:
                 return self.core_queues[core].popleft()
-        return None
+        raise SimulationError(f"socket {victim}'s queued count is stale")
 
     # ------------------------------------------------------------------
     # Task lifecycle

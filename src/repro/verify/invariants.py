@@ -13,6 +13,8 @@ machine (DESIGN.md §11):
   migration moves bytes without creating or destroying any, and the
   manager's global per-node byte counters always equal the per-object page
   maps (recomputed independently);
+* **queued counts** — each socket's ``_queued`` count equals the tasks in
+  its socket queue plus its cores' queues (the steal scan trusts it);
 * **no phantom-busy cores** — after a completed run or an ``_abort_run``
   every surviving core is idle exactly once;
 * **no temporary-queue leaks** — at end-of-run ``parked`` and
@@ -172,6 +174,16 @@ class InvariantChecker(SimProbe):
                 f"quarantined cores {sorted(seen & sim.quarantined)} are "
                 "in the idle lists"
             )
+        topo = sim.topology
+        for s in topo.sockets():
+            queued = len(sim.socket_queues[s]) + sum(
+                len(sim.core_queues[c]) for c in topo.cores_of_socket(s)
+            )
+            if sim._queued[s] != queued:
+                self._fail(
+                    f"socket {s}'s queued count is {sim._queued[s]} but its "
+                    f"queues hold {queued} tasks"
+                )
 
     def on_abort(self, sim) -> None:
         if sim.running:

@@ -7,6 +7,7 @@ import json
 import os
 
 import pytest
+from hypothesis import settings
 
 # Run the whole suite with the online invariant checker armed: every
 # Simulator constructed anywhere in the tests carries the repro.verify
@@ -17,6 +18,12 @@ os.environ.setdefault("REPRO_VERIFY", "1")
 
 from repro.machine import bullion_s16, two_socket
 from repro.runtime import TaskProgram
+
+# Derive every property test's examples from the test itself rather than
+# a fresh random seed, so two runs of the suite search the same cases and
+# a failure found once is found every time.
+settings.register_profile("repro", derandomize=True)
+settings.load_profile("repro")
 
 
 #: Exact schedule fingerprints of the verification corpus and of a few

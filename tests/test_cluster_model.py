@@ -154,6 +154,7 @@ class TestNearestSurvivorRemap:
         assert sim.nearest_alive_socket(0) == 2
         # Load socket 2's queue and the remap must pick an idle sibling.
         sim.socket_queues[2].extend(sim.program.tasks[:2])
+        sim._queued[2] += 2
         assert sim.nearest_alive_socket(0) == 3
 
     def test_remap_goes_through_distance_not_modulo(self):

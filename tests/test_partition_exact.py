@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExactBudgetExceeded, PartitionError
@@ -135,25 +135,73 @@ def test_exact_never_loses_to_heuristics(graph, k, seed):
         assert res.meta["objective"] <= edge_cut(graph, h.parts) + 1e-9
 
 
-def test_budget_fallback_to_unbalanced_heuristic_is_flagged():
-    """No 4-way split fits the strict caps (7.6 fits beside none of the
-    four ~9.5 vertices), and the budget runs out before the search can
-    prove it, so the heuristic answer comes back — flagged as relaxed."""
+def _pigeonhole_graph():
+    """No 4-way split fits the strict caps: 7.6 fits beside none of the
+    four ~9.5 vertices, which the weights alone prove."""
     vwgt = np.array([2.0, 9.7, 1.0, 1.5, 2.3, 2.0, 3.4, 7.6, 9.1, 9.5,
                      0.5, 0.1, 9.8])
     edges = [(0, 2, 13.4), (3, 4, 36.6), (5, 6, 38.5), (10, 11, 48.7)]
-    graph = CSRGraph.from_edges(13, edges, vwgt)
+    return CSRGraph.from_edges(13, edges, vwgt)
+
+
+def test_budget_fallback_to_unbalanced_heuristic_is_flagged():
+    """The budget runs out before even the relaxed search finds a
+    partition, so the heuristic answer comes back — flagged as relaxed."""
+    graph = _pigeonhole_graph()
     res = ExactPartitioner(tolerance=TOL, budget=100).partition(graph, 4)
-    loads = np.bincount(res.parts, weights=vwgt, minlength=4)
+    loads = np.bincount(res.parts, weights=graph.vwgt, minlength=4)
     assert res.meta["budget_exhausted"]
     assert np.any(loads > _strict_caps(graph, 4))
     assert res.meta["tolerance_relaxed"] is True
+
+
+def test_pigeonhole_infeasibility_goes_straight_to_relaxed_caps():
+    """The strict search would spend the whole budget failing to place the
+    heaviest five vertices; the pigeonhole test skips it, so the relaxed
+    search proves its optimum well inside the budget."""
+    graph = _pigeonhole_graph()
+    res = ExactPartitioner(tolerance=TOL, budget=60_000).partition(graph, 4)
+    assert res.meta["exact"] is True
+    assert "budget_exhausted" not in res.meta
+    assert res.meta["tolerance_relaxed"] is True
+    assert res.meta["nodes"] < 30_000
+    loads = np.bincount(res.parts, weights=graph.vwgt, minlength=4)
+    # Relaxed to the LPT profile, not the heuristic's 19.2 part.
+    assert loads.max() <= 16.7 + 1e-9
+
+
+def test_strict_search_without_incumbent_leaves_budget_to_relax():
+    """A heuristic answer that breaks the strict caps leaves the strict
+    search without an incumbent; if it finds none in half the budget, the
+    relaxed search gets the rest instead of the heuristic coming back."""
+    rng = np.random.default_rng(5)
+    n = 14
+    edges = [
+        (int(u), int(v), float(rng.uniform(1.0, 9.0)))
+        for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+    ]
+    graph = CSRGraph.from_edges(n, edges, np.full(n, 1.0))
+
+    class Lopsided(MultilevelKWay):
+        def partition(self, graph, k, *, target=None, seed=0):
+            res = super().partition(graph, k, target=target, seed=seed)
+            res.parts[:] = 0  # every vertex on part 0: breaks the caps
+            return res
+
+    res = ExactPartitioner(
+        tolerance=TOL, budget=40, fallback=Lopsided(tolerance=TOL)
+    ).partition(graph, 3)
+    loads = np.bincount(res.parts, weights=graph.vwgt, minlength=3)
+    assert loads.max() < n  # not the heuristic's all-on-one answer
+    assert res.meta["tolerance_relaxed"] is True
+    assert res.meta["exact"] is False and res.meta["budget_exhausted"]
 
 
 @given(small_graphs(max_vertices=14, max_edges=32),
        st.integers(min_value=2, max_value=4),
        st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=30, deadline=None)
+@example(graph=_pigeonhole_graph(), k=4, seed=0)
 def test_tolerance_respected_unless_flagged(graph, k, seed):
     k = min(k, graph.n_vertices)
     res = ExactPartitioner(tolerance=TOL, budget=60_000).partition(

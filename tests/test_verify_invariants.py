@@ -109,6 +109,16 @@ def test_phantom_busy_core_violation():
         checker.on_loop(sim)
 
 
+def test_queued_count_violation():
+    sim = _sim(verify=False)
+    checker = InvariantChecker(sim)
+    checker.on_loop(sim)
+    # A task queued behind the simulator's back: the count misses it.
+    sim.core_queues[3].append(sim.program.tasks[0])
+    with pytest.raises(VerificationError, match="socket 1's queued count"):
+        checker.on_loop(sim)
+
+
 def test_parked_leak_violation():
     sim = _sim(verify=False)
     checker = InvariantChecker(sim)
